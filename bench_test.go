@@ -301,3 +301,66 @@ func BenchmarkJobschedPriorityThroughput(b *testing.B) {
 		}
 	}
 }
+
+var (
+	deepQueueOnce  sync.Once
+	deepQueueSched *jobsched.Scheduler
+	deepQueueSubs  [][]jobsched.Submission
+)
+
+// BenchmarkOnlineDeepQueueSubmit pushes 16384 jobs in 1024-job
+// SubmitBatch calls into a saturated 8-node, 1200 W cluster under the
+// daemon's default policy (aggressive backfill, reallocation,
+// preemption), advancing the virtual clock 5 s between batches so
+// completions interleave with admission — the deep-queue dispatch path
+// of a batched clipd burst.
+func BenchmarkOnlineDeepQueueSubmit(b *testing.B) {
+	deepQueueOnce.Do(func() {
+		cl := hw.NewCluster(8, hw.HaswellSpec(), 0.02, 42)
+		clip, err := core.New(cl)
+		if err != nil {
+			panic(err)
+		}
+		apps := workload.Suite()
+		for _, app := range apps {
+			if _, _, err := clip.Predictor(app); err != nil {
+				panic(err)
+			}
+		}
+		s, err := jobsched.New(cl, clip, jobsched.Config{
+			Bound: 1200, Policy: jobsched.AggressiveBackfill, Reallocate: true, Preempt: true})
+		if err != nil {
+			panic(err)
+		}
+		deepQueueSched = s
+		r := rng.New(2)
+		for i := 0; i < 16384/1024; i++ {
+			batch := make([]jobsched.Submission, 1024)
+			for j := range batch {
+				batch[j] = jobsched.Submission{
+					ID: fmt.Sprintf("b%05d", i*1024+j), App: apps[r.Intn(len(apps))]}
+			}
+			deepQueueSubs = append(deepQueueSubs, batch)
+		}
+	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o, err := deepQueueSched.Online()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, batch := range deepQueueSubs {
+			for _, res := range o.SubmitBatch(batch) {
+				if res.Err != nil {
+					b.Fatal(res.Err)
+				}
+			}
+			if err := o.Advance(o.Now() + 5); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if o.QueueLen() < 16384-64 {
+			b.Fatalf("cluster not saturated: %d of 16384 jobs queued", o.QueueLen())
+		}
+	}
+}

@@ -234,6 +234,9 @@ func (st *schedState) freeHas(id int) bool {
 // syncNode reconciles one node's free-list membership with its health,
 // derate and occupancy state.
 func (st *schedState) syncNode(id int) {
+	// The node's health or derate just changed, and preemption planning
+	// reads the placeability of occupied nodes too.
+	st.memo.ok = false
 	want := st.placeable(id) && st.runningOn[id] == nil
 	has := st.freeHas(id)
 	if want && !has {
@@ -386,9 +389,7 @@ func (st *schedState) requeue(j Job) {
 		return
 	}
 	st.logFault("requeue", -1, j.ID, 0, fmt.Sprintf("attempt %d", st.retries[j.ID]))
-	st.queue = append(st.queue, queueEntry{job: j})
-	st.qlive++
-	gQueuePeak.SetMax(float64(st.qlive))
+	st.enqueue(j)
 	st.dispatch()
 	st.assertBound("requeue")
 	st.publishState()
@@ -417,8 +418,7 @@ func (st *schedState) failQueued(reason string) {
 		if e.started {
 			continue
 		}
-		e.started = true
-		st.qlive--
+		st.tombstone(e)
 		st.failJob(e.job, reason)
 	}
 	st.compactQueue()

@@ -18,6 +18,19 @@
 // and placement decisions are memoized per application against a
 // (free-set version, free-watts) stamp — a steady-state schedule event
 // performs zero heap allocations.
+//
+// Dispatch scans are incremental. A scan that starts nothing records a
+// stamp of every input of tryStart's gates — the free-set version, the
+// free-watts bits, whether anything runs (the CapOK gate), the clock
+// and the shadow time (the Backfill deadline) — together with the
+// queue length it covered and the highest live priority. While the
+// stamp still matches, the next scan offers the resources only to the
+// entries queued since; they are the head only if they outrank every
+// older entry, and preemption is re-planned only then. Any start or
+// other tombstone, any change to a running job's allocation or timing
+// (the inputs of preemption planning) and any change to a node's
+// placeability drop the memo. An arrival into a blocked queue therefore
+// tries only itself, whatever the queue's depth.
 package jobsched
 
 import (
@@ -295,6 +308,27 @@ type queueEntry struct {
 	started bool
 }
 
+// priLevel counts the live queue entries at one priority.
+type priLevel struct {
+	pri  int
+	live int
+}
+
+// scanMemo records the last dispatch scan that started nothing: the
+// stamp of every input of tryStart's gates at scan time, the queue
+// length the scan covered and the highest live priority. Entries below
+// scanTo were all offered these exact resources and refused them.
+type scanMemo struct {
+	ok      bool
+	freeVer uint64
+	wBits   uint64  // math.Float64bits of the free watts
+	busy    bool    // len(running) > 0: the CapOK duty-cycling gate
+	now     float64 // clock and shadow time: the Backfill deadline
+	shadow  float64
+	scanTo  int // queue index the scan covered, exclusive
+	maxPri  int // highest live priority; math.MinInt with none live
+}
+
 // placementCopy is a dispatch-cache-owned snapshot of a coordinator
 // placement: the slices are owned by the entry (refilled in place on
 // recompute), the phase plan aliases the coordinator scratch's memo
@@ -356,16 +390,26 @@ type dispatchEntry struct {
 // free-set version stamp — so a dispatch attempt costs no per-event
 // cluster rescan.
 type schedState struct {
-	s       *Scheduler
-	eng     *des.Engine
-	queue   []queueEntry
-	qhead   int // first possibly-live queue index
-	qlive   int // queued jobs not yet started
-	running map[string]*runningJob
-	free    []int // free global node ids, ascending
-	freeW   float64
-	bound   float64 // current (possibly time-varying) bound
-	stats   *Stats
+	s     *Scheduler
+	eng   *des.Engine
+	queue []queueEntry
+	qhead int // first possibly-live queue index
+	qlive int // queued jobs not yet started
+	// levels counts live queue entries per priority, priority
+	// descending; it ranks queue positions and finds the dispatch head
+	// without a queue walk.
+	levels []priLevel
+	// memo lets a dispatch scan skip the entries the last fruitless scan
+	// already offered the same resources to. fullScan (set by tests
+	// only) disables it; tryStarts counts placement attempts.
+	memo      scanMemo
+	fullScan  bool
+	tryStarts int
+	running   map[string]*runningJob
+	free      []int // free global node ids, ascending
+	freeW     float64
+	bound     float64 // current (possibly time-varying) bound
+	stats     *Stats
 	// running-record arena: slots[i].slot == i; freeSlots is the stack
 	// of recyclable indices.
 	slots     []*runningJob
@@ -514,6 +558,8 @@ func (st *schedState) reset(online bool) {
 	st.eng.Reset()
 	st.queue = st.queue[:0]
 	st.qhead, st.qlive = 0, 0
+	st.levels = st.levels[:0]
+	st.memo = scanMemo{}
 	clear(st.running)
 	st.freeSlots = st.freeSlots[:0]
 	for i := range st.slots {
@@ -665,12 +711,78 @@ func (st *schedState) arrive(j Job) {
 		st.publishState()
 		return
 	}
-	st.queue = append(st.queue, queueEntry{job: j})
-	st.qlive++
-	gQueuePeak.SetMax(float64(st.qlive))
+	st.enqueue(j)
 	st.dispatch()
 	st.assertBound("arrive")
 	st.publishState()
+}
+
+// enqueue appends a job at the queue tail.
+func (st *schedState) enqueue(j Job) {
+	st.queue = append(st.queue, queueEntry{job: j})
+	st.qlive++
+	st.level(j.Priority).live++
+	gQueuePeak.SetMax(float64(st.qlive))
+}
+
+// tombstone retires a live queue entry in place: it started, was
+// cancelled, evacuated or failed. The scan memo no longer describes
+// the queue, so it is dropped.
+func (st *schedState) tombstone(e *queueEntry) {
+	e.started = true
+	st.qlive--
+	st.level(e.job.Priority).live--
+	st.memo.ok = false
+}
+
+// level returns the live count of priority p, inserting the level in
+// descending order on first use.
+func (st *schedState) level(p int) *priLevel {
+	i := 0
+	for i < len(st.levels) && st.levels[i].pri > p {
+		i++
+	}
+	if i == len(st.levels) || st.levels[i].pri != p {
+		st.levels = append(st.levels, priLevel{})
+		copy(st.levels[i+1:], st.levels[i:])
+		st.levels[i] = priLevel{pri: p}
+	}
+	return &st.levels[i]
+}
+
+// liveAbove counts the live queue entries whose priority exceeds p.
+func (st *schedState) liveAbove(p int) int {
+	n := 0
+	for _, l := range st.levels {
+		if l.pri <= p {
+			break
+		}
+		n += l.live
+	}
+	return n
+}
+
+// maxLivePri returns the highest priority among live queue entries, or
+// math.MinInt when the queue is empty.
+func (st *schedState) maxLivePri() int {
+	for _, l := range st.levels {
+		if l.live > 0 {
+			return l.pri
+		}
+	}
+	return math.MinInt
+}
+
+// topQueued returns the queue index of the dispatch head — the
+// earliest live entry at the highest live priority — or -1.
+func (st *schedState) topQueued() int {
+	p := st.maxLivePri()
+	for qi := st.qhead; qi < len(st.queue); qi++ {
+		if e := &st.queue[qi]; !e.started && e.job.Priority == p {
+			return qi
+		}
+	}
+	return -1
 }
 
 // dispatch starts as many queued jobs as the policy and resources
@@ -678,13 +790,33 @@ func (st *schedState) arrive(j Job) {
 // no progress and priorities are in play, one preemption pass may
 // evict lower-priority running jobs to admit the blocked head; the
 // freed resources are consumed by the rescan that follows.
+//
+// Each scan starts where the memo says the last fruitless one left
+// off: on a hit only the entries queued since are offered the
+// resources, and the preemption pass runs only when one of them
+// outranks every older entry — the older ones were already refused
+// under identical inputs.
 func (st *schedState) dispatch() {
-	progress := true
-	for progress {
-		progress = st.dispatchPass()
+	for {
+		from, bar, hit := st.qhead, math.MinInt, st.memoHit()
+		if hit {
+			from, bar = st.memo.scanTo, st.memo.maxPri
+		}
+		// With no free node or no free watt every tryStart refuses at
+		// once, so the scan is skipped outright.
+		if len(st.free) > 0 && st.freeW > 0 && st.dispatchPass(from, bar) {
+			st.compactQueue()
+			continue
+		}
+		top := st.maxLivePri()
+		st.memo = scanMemo{
+			ok: true, freeVer: st.freeVer, wBits: math.Float64bits(st.freeW),
+			busy: len(st.running) > 0, now: st.eng.Now(), shadow: st.shadowTime(),
+			scanTo: len(st.queue), maxPri: top,
+		}
 		st.compactQueue()
-		if !progress && st.anyPri && st.s.Config.Preempt {
-			progress = st.preemptPass()
+		if top <= bar || !st.anyPri || !st.s.Config.Preempt || !st.preemptPass() {
+			break
 		}
 	}
 	// Queue/free-watts telemetry is published by the event handlers via
@@ -693,40 +825,44 @@ func (st *schedState) dispatch() {
 	// torn.
 }
 
-// dispatchPass runs one scan over the live queue entries and starts at
-// most one job (a start invalidates the shadow window and resource
-// state, so the caller rescans). Started entries are tombstoned in
-// place and skipped, so a scan only visits live entries. Without
+// memoHit reports whether the scan memo's stamp still matches every
+// input of tryStart's gates, so the entries below memo.scanTo would be
+// refused again.
+func (st *schedState) memoHit() bool {
+	m := &st.memo
+	return m.ok && !st.fullScan &&
+		m.freeVer == st.freeVer && m.wBits == math.Float64bits(st.freeW) &&
+		m.busy == (len(st.running) > 0) && m.now == st.eng.Now() &&
+		m.shadow == st.shadowTime()
+}
+
+// dispatchPass scans the live queue entries from index from on and
+// starts at most one job (a start invalidates the shadow window and
+// resource state, so the caller rescans). Started entries are
+// tombstoned in place and skipped, so a scan only visits live entries.
+// The first entry visited is the queue head only if its priority
+// exceeds bar, the highest priority among the skipped entries. Without
 // priorities the scan is the legacy index-order walk; with priorities
 // it follows scanOrder (priority descending, arrival order within a
 // priority level).
-func (st *schedState) dispatchPass() bool {
+func (st *schedState) dispatchPass(from, bar int) bool {
 	if st.anyPri {
-		return st.dispatchPassPri()
+		return st.dispatchPassPri(from, bar)
 	}
-	head := true // next live entry is the queue head
-	for qi := st.qhead; qi < len(st.queue); qi++ {
+	first := true
+	for qi := from; qi < len(st.queue); qi++ {
 		e := &st.queue[qi]
 		if e.started {
 			continue
 		}
+		head := first && e.job.Priority > bar
+		first = false
 		if !head && st.s.Config.Policy == FCFS {
 			break // head of queue blocks
 		}
-		// The head may start whenever it fits. A backfilled job
-		// must finish before the next resource release (shadow
-		// time), so the head's earliest start is never delayed.
-		deadline := math.Inf(1)
-		if !head && st.s.Config.Policy == Backfill {
-			deadline = st.shadowTime()
-		}
-		if st.tryStart(e.job, deadline) {
-			mJobsStarted.Inc()
-			e.started = true
-			st.qlive--
+		if st.offer(e, head) {
 			return true
 		}
-		head = false
 	}
 	return false
 }
@@ -737,9 +873,8 @@ func (st *schedState) dispatchPass() bool {
 // starts after every higher-priority candidate was offered the
 // resources first — no priority inversion at dispatch, asserted via
 // the scan order's monotonicity.
-func (st *schedState) dispatchPassPri() bool {
-	order := st.scanOrder()
-	head := true
+func (st *schedState) dispatchPassPri(from, bar int) bool {
+	order := st.scanOrder(from)
 	for k, qi := range order {
 		e := &st.queue[qi]
 		if k > 0 && st.queue[order[k-1]].job.Priority < e.job.Priority {
@@ -747,31 +882,41 @@ func (st *schedState) dispatchPassPri() bool {
 				st.queue[order[k-1]].job.ID, e.job.ID)
 			return false
 		}
+		head := k == 0 && e.job.Priority > bar
 		if !head && st.s.Config.Policy == FCFS {
 			break // head of queue blocks
 		}
-		deadline := math.Inf(1)
-		if !head && st.s.Config.Policy == Backfill {
-			deadline = st.shadowTime()
-		}
-		if st.tryStart(e.job, deadline) {
-			mJobsStarted.Inc()
-			e.started = true
-			st.qlive--
+		if st.offer(e, head) {
 			return true
 		}
-		head = false
 	}
 	return false
 }
 
-// scanOrder fills the scan scratch with the live queue indices sorted
-// by (priority descending, index ascending) via a stable insertion
-// sort — small queues, no allocation, FIFO preserved within a
-// priority level.
-func (st *schedState) scanOrder() []int {
+// offer tries to start one live entry and tombstones it when it
+// starts. The head may start whenever it fits; under Backfill any
+// other entry must finish before the next resource release (shadow
+// time), so the head's earliest start is never delayed.
+func (st *schedState) offer(e *queueEntry, head bool) bool {
+	deadline := math.Inf(1)
+	if !head && st.s.Config.Policy == Backfill {
+		deadline = st.shadowTime()
+	}
+	if !st.tryStart(e.job, deadline) {
+		return false
+	}
+	mJobsStarted.Inc()
+	st.tombstone(e)
+	return true
+}
+
+// scanOrder fills the scan scratch with the live queue indices from
+// index from on, sorted by (priority descending, index ascending) via
+// a stable insertion sort — small queues, no allocation, FIFO
+// preserved within a priority level.
+func (st *schedState) scanOrder(from int) []int {
 	order := st.scanIdx[:0]
-	for qi := st.qhead; qi < len(st.queue); qi++ {
+	for qi := from; qi < len(st.queue); qi++ {
 		if st.queue[qi].started {
 			continue
 		}
@@ -792,7 +937,8 @@ func (st *schedState) scanOrder() []int {
 }
 
 // compactQueue advances the head index past tombstones and reclaims the
-// dead prefix once it dominates the backing array.
+// dead prefix once it dominates the backing array, shifting the scan
+// memo's bound with the entries.
 func (st *schedState) compactQueue() {
 	for st.qhead < len(st.queue) && st.queue[st.qhead].started {
 		st.qhead++
@@ -800,6 +946,7 @@ func (st *schedState) compactQueue() {
 	if st.qhead > 64 && st.qhead*2 >= len(st.queue) {
 		n := copy(st.queue, st.queue[st.qhead:])
 		st.queue = st.queue[:n]
+		st.memo.scanTo -= st.qhead
 		st.qhead = 0
 	}
 }
@@ -868,7 +1015,8 @@ func (st *schedState) freeCluster() *hw.Cluster {
 
 // tryStart attempts to place one job on the free nodes with the free
 // power; returns true when the job started. The job is only started
-// when it would complete by deadline (backfill safety window).
+// when it would complete by deadline (backfill safety window). The
+// caller guarantees a free node and a free watt.
 //
 // The placement decision is served from the per-application dispatch
 // cache when the free set and free watts are unchanged since it was
@@ -876,9 +1024,7 @@ func (st *schedState) freeCluster() *hw.Cluster {
 // CapOK and deadline gates depend on per-call state (running-set size,
 // shadow window) and are applied after the lookup.
 func (st *schedState) tryStart(j Job, deadline float64) bool {
-	if len(st.free) == 0 || st.freeW <= 0 {
-		return false
-	}
+	st.tryStarts++
 	// Feasibility stage: the cluster view offered to the coordinator is
 	// the free set shrunk to the job's hard constraints (identical to
 	// the plain free view for unconstrained apps — the common case and
@@ -1011,6 +1157,9 @@ func (st *schedState) scheduleCompletion(rj *runningJob) {
 	rj.completion = ev
 	rj.finishAt = st.eng.Now() + rj.itersLeft*rj.iterTime
 	st.shadowOK = false
+	// Every change to a running job's allocation passes through here,
+	// and preemption planning reads those allocations.
+	st.memo.ok = false
 }
 
 // progressTo updates a running job's remaining iterations to time now.
@@ -1195,14 +1344,18 @@ func (st *schedState) shedPower() {
 		// stays queued until the bound recovers.
 		return
 	}
-	var totalAlloc float64
 	ids := st.reallocIDs[:0]
-	for id, rj := range st.running {
+	for id := range st.running {
 		ids = append(ids, id)
-		totalAlloc += rj.powerUsed
 	}
 	sort.Strings(ids)
 	st.reallocIDs = ids
+	// Sum in id order: a float sum over map order rounds differently
+	// from run to run.
+	var totalAlloc float64
+	for _, id := range ids {
+		totalAlloc += st.running[id].powerUsed
+	}
 	target := totalAlloc + st.freeW // freeW < 0
 	if target < 1 {
 		target = 1

@@ -396,6 +396,12 @@ func (o *Online) Status(id string) (JobStatus, error) {
 	if !ok {
 		return JobStatus{}, fmt.Errorf("%w: %q", ErrUnknownJob, id)
 	}
+	return o.status(id, rec, nil), nil
+}
+
+// status builds a job's status. A queued job's position comes from
+// ranks when non-nil, from a queue lookup otherwise.
+func (o *Online) status(id string, rec *jobRecord, ranks map[string]int) JobStatus {
 	js := JobStatus{
 		ID: id, Arrival: rec.job.Arrival, Retries: o.st.retries[id],
 		Priority: rec.job.Priority, Preemptions: o.st.preempts[id],
@@ -409,18 +415,18 @@ func (o *Online) Status(id string) (JobStatus, error) {
 		js.Cores = rec.result.Cores
 		js.PerNodeW = rec.result.PerNodeW
 		js.Retries = rec.result.Retries
-		return js, nil
+		return js
 	case JobFailed:
 		js.State = JobFailed
 		js.Finish = rec.failed.FailedAt
 		js.Retries = rec.failed.Retries
 		js.Reason = rec.failed.Reason
-		return js, nil
+		return js
 	case JobCancelled:
 		js.State = JobCancelled
 		js.Finish = rec.finishedAt
 		js.ReclaimedW = rec.reclaimedW
-		return js, nil
+		return js
 	}
 	if rj := o.st.running[id]; rj != nil {
 		js.State = JobRunning
@@ -429,80 +435,88 @@ func (o *Online) Status(id string) (JobStatus, error) {
 		js.Cores = rj.cores
 		js.PerNodeW = rj.perNode.Total()
 		js.EstFinish = rj.finishAt
-		return js, nil
+		return js
 	}
 	if _, retrying := o.st.pendingRequeue[id]; retrying {
 		js.State = JobRetrying
-		return js, nil
+		return js
 	}
 	js.State = JobQueued
-	js.QueuePos = o.st.queuePos(id)
-	return js, nil
+	if ranks != nil {
+		js.QueuePos = ranks[id]
+	} else {
+		js.QueuePos = o.st.queuePos(id)
+	}
+	return js
 }
 
-// queuePos returns a queued job's 0-based position in dispatch order:
-// positions are dense and gap-free across cancel tombstones, queue
-// compaction, evacuations and preemption re-enqueues. Without
-// priorities dispatch order is queue index order; with priorities it
-// is the scan order's (priority descending, index ascending) rank, so
-// a freshly preempted high-priority job at the physical tail still
-// reports the front of the line.
+// queuePos returns a queued job's 0-based position in dispatch order,
+// (priority descending, queue index ascending): the live entries of
+// higher priority plus those of equal priority queued earlier.
+// Positions are dense and gap-free across cancel tombstones, queue
+// compaction, evacuations and preemption re-enqueues, and a freshly
+// preempted high-priority job at the physical tail still reports the
+// front of its priority band.
 func (st *schedState) queuePos(id string) int {
-	if !st.anyPri {
-		// Tail fast path: a job queried right after submission (every
-		// Submit returns through here) sits at the live tail of the
-		// queue, so its position is qlive-1 without walking the queue.
-		// Without this, sustained submission into a saturated cluster
-		// is quadratic in queue depth. Priority runs skip it: the live
-		// tail need not be last in dispatch order.
-		for qi := len(st.queue) - 1; qi >= st.qhead; qi-- {
-			e := &st.queue[qi]
-			if e.started {
-				continue
-			}
-			if e.job.ID == id {
-				return st.qlive - 1
-			}
-			break
-		}
-		pos := 0
-		for qi := st.qhead; qi < len(st.queue); qi++ {
-			e := &st.queue[qi]
-			if e.started {
-				continue
-			}
-			if e.job.ID == id {
-				break
-			}
-			pos++
-		}
-		return pos
-	}
-	// Priority order: rank = live entries dispatched ahead of this one
-	// (strictly higher priority, or equal priority and earlier index).
-	self := -1
-	pri := 0
-	for qi := st.qhead; qi < len(st.queue); qi++ {
+	// Tail fast path: a job queried right after submission (every
+	// Submit returns through here) is the last live entry, hence last
+	// in its priority level. Without this, sustained submission into a
+	// saturated cluster is quadratic in queue depth.
+	for qi := len(st.queue) - 1; qi >= st.qhead; qi-- {
 		e := &st.queue[qi]
-		if !e.started && e.job.ID == id {
-			self, pri = qi, e.job.Priority
+		if e.started {
+			continue
+		}
+		if e.job.ID == id {
+			p := e.job.Priority
+			return st.liveAbove(p) + st.level(p).live - 1
+		}
+		break
+	}
+	self := -1
+	for qi := st.qhead; qi < len(st.queue); qi++ {
+		if e := &st.queue[qi]; !e.started && e.job.ID == id {
+			self = qi
 			break
 		}
 	}
 	if self < 0 {
 		return 0
 	}
-	pos := 0
-	for qi := st.qhead; qi < len(st.queue); qi++ {
-		e := &st.queue[qi]
-		if e.started || qi == self {
-			continue
-		}
-		if e.job.Priority > pri || (e.job.Priority == pri && qi < self) {
+	p := st.queue[self].job.Priority
+	pos := st.liveAbove(p)
+	for qi := st.qhead; qi < self; qi++ {
+		if e := &st.queue[qi]; !e.started && e.job.Priority == p {
 			pos++
 		}
 	}
 	return pos
+}
+
+// queueRanks returns every queued job's queuePos in one pass over the
+// queue: each priority level's ranks start after the live entries of
+// all higher levels and count up in queue order.
+func (st *schedState) queueRanks() map[string]int {
+	next := make([]int, len(st.levels))
+	above := 0
+	for i, l := range st.levels {
+		next[i] = above
+		above += l.live
+	}
+	ranks := make(map[string]int, st.qlive)
+	for qi := st.qhead; qi < len(st.queue); qi++ {
+		e := &st.queue[qi]
+		if e.started {
+			continue
+		}
+		i := 0
+		for st.levels[i].pri != e.job.Priority {
+			i++
+		}
+		ranks[e.job.ID] = next[i]
+		next[i]++
+	}
+	return ranks
 }
 
 // Jobs lists every submitted job's status, ordered by id.
@@ -512,13 +526,10 @@ func (o *Online) Jobs() []JobStatus {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
+	ranks := o.st.queueRanks()
 	out := make([]JobStatus, 0, len(ids))
 	for _, id := range ids {
-		js, err := o.Status(id)
-		if err != nil {
-			continue
-		}
-		out = append(out, js)
+		out = append(out, o.status(id, o.jobs[id], ranks))
 	}
 	return out
 }
@@ -569,8 +580,7 @@ func (o *Online) Cancel(id string) (float64, error) {
 		for qi := st.qhead; qi < len(st.queue); qi++ {
 			e := &st.queue[qi]
 			if !e.started && e.job.ID == id {
-				e.started = true
-				st.qlive--
+				st.tombstone(e)
 				found = true
 				break
 			}
@@ -611,8 +621,7 @@ func (o *Online) EvacuateQueued() []Job {
 			continue
 		}
 		out = append(out, e.job)
-		e.started = true // tombstone in place, like Cancel
-		st.qlive--
+		st.tombstone(e)
 		delete(o.jobs, e.job.ID)
 		delete(st.retries, e.job.ID)
 		delete(st.preempts, e.job.ID)

@@ -150,11 +150,11 @@ func (st *schedState) preemptPass() bool {
 	if st.qlive == 0 || len(st.running) == 0 {
 		return false
 	}
-	order := st.scanOrder()
-	if len(order) == 0 {
+	qi := st.topQueued()
+	if qi < 0 {
 		return false
 	}
-	top := st.queue[order[0]].job
+	top := st.queue[qi].job
 	victims := st.preVictims[:0]
 	for _, rj := range st.running {
 		if rj.job.Priority < top.Priority {
@@ -267,9 +267,7 @@ func (st *schedState) preemptJob(rj *runningJob, forID string) {
 	st.releaseNodes(rj.globalIDs)
 	st.releaseRecord(rj) // rj must not be touched below this line
 	st.logFault("preempt", -1, j.ID, reclaimed, fmt.Sprintf("evicted for higher-priority %s", forID))
-	st.queue = append(st.queue, queueEntry{job: j})
-	st.qlive++
-	gQueuePeak.SetMax(float64(st.qlive))
+	st.enqueue(j)
 }
 
 // maxReconcilePasses bounds the reconciler's re-dispatch loop; a
@@ -317,23 +315,11 @@ func (st *schedState) uncovered() string {
 	if st.qlive == 0 || st.failure != nil {
 		return ""
 	}
-	var j Job
-	if st.anyPri {
-		order := st.scanOrder()
-		if len(order) == 0 {
-			return ""
-		}
-		j = st.queue[order[0]].job
-	} else {
-		qi := st.qhead
-		for qi < len(st.queue) && st.queue[qi].started {
-			qi++
-		}
-		if qi >= len(st.queue) {
-			return ""
-		}
-		j = st.queue[qi].job
+	qi := st.topQueued()
+	if qi < 0 {
+		return ""
 	}
+	j := st.queue[qi].job
 	e := st.dcache[j.App]
 	if e == nil || e.freeVer != st.freeVer || e.wBits != math.Float64bits(st.freeW) {
 		return "" // no decision recorded for the current state

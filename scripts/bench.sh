@@ -13,9 +13,10 @@ trap 'rm -rf "$TMP"' EXIT
 
 BENCHES='BenchmarkCLIPSchedule$|BenchmarkSimRun$|BenchmarkOptimalSearch$'
 # Scale-stress benchmarks (64-node search, 1k-job runtime trace plain
-# and with the priority/preemption pipeline live) are heavier per
+# and with the priority/preemption pipeline live, 16k-job batched
+# admission into a saturated online cluster) are heavier per
 # iteration, so they run fewer times.
-BENCHES_LARGE='BenchmarkOptimalSearchLarge$|BenchmarkJobschedThroughput$|BenchmarkJobschedPriorityThroughput$'
+BENCHES_LARGE='BenchmarkOptimalSearchLarge$|BenchmarkJobschedThroughput$|BenchmarkJobschedPriorityThroughput$|BenchmarkOnlineDeepQueueSubmit$'
 
 echo "== micro-benchmarks ==" >&2
 go test -run '^$' -bench "$BENCHES" -benchmem -benchtime=50x . | tee "$TMP/bench.txt" >&2

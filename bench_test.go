@@ -295,10 +295,17 @@ func BenchmarkJobschedPriorityThroughput(b *testing.B) {
 		}
 	})
 	b.ResetTimer()
+	var st *jobsched.Stats
+	var err error
 	for i := 0; i < b.N; i++ {
-		if _, err := priThroughputSched.Run(priThroughputTrace); err != nil {
+		if st, err = priThroughputSched.Run(priThroughputTrace); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.StopTimer()
+	// The trace must exercise the path the benchmark is named for.
+	if st.Preemptions == 0 {
+		b.Fatal("priority trace preempted no job")
 	}
 }
 

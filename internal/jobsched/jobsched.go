@@ -92,8 +92,9 @@ type Job struct {
 	Arrival float64
 	// Priority orders dispatch: higher values are scanned first and,
 	// when Config.Preempt is set, may evict running lower-priority
-	// jobs. Zero inherits the application's default priority; all-zero
-	// runs take the exact legacy FIFO paths.
+	// jobs. Zero inherits the application's default priority. When all
+	// jobs share one priority the dispatch scan is plain arrival order
+	// and preemption never runs.
 	Priority int
 }
 
@@ -396,8 +397,9 @@ type schedState struct {
 	qhead int // first possibly-live queue index
 	qlive int // queued jobs not yet started
 	// levels counts live queue entries per priority, priority
-	// descending; it ranks queue positions and finds the dispatch head
-	// without a queue walk.
+	// descending. A level is kept for the whole run once enqueued. The
+	// dispatch scan walks the levels in order; they also rank queue
+	// positions and find the dispatch head without a queue walk.
 	levels []priLevel
 	// memo lets a dispatch scan skip the entries the last fruitless scan
 	// already offered the same resources to. fullScan (set by tests
@@ -436,16 +438,11 @@ type schedState struct {
 	freeSubVer uint64
 	shadow     float64
 	shadowOK   bool
-	// priority pipeline state. anyPri is sticky per run: it flips the
-	// dispatch scan to priority order and arms preemption; all-zero
-	// priority runs never leave the legacy FIFO paths. scanIdx is the
-	// priority-ordered scan scratch; feasIDs/feasSub back the
-	// constraint-filtered cluster view; the pre* scratch set backs
-	// preemption planning so a plan never clobbers the freeVer-cached
-	// free view or the shared coordinator scratch; preempts counts
-	// evictions per job id (nil until the first preemption).
-	anyPri     bool
-	scanIdx    []int
+	// priority pipeline state. feasIDs/feasSub back the constraint-
+	// filtered cluster view; the pre* scratch set backs preemption
+	// planning so a plan never clobbers the freeVer-cached free view or
+	// the shared coordinator scratch; preempts counts evictions per job
+	// id (nil until the first preemption).
 	feasIDs    []int
 	feasSub    *hw.Cluster
 	preIDs     []int
@@ -575,7 +572,6 @@ func (st *schedState) reset(online bool) {
 	st.coord = coordinator.Coordinator{}
 	st.freeVer++
 	st.shadow, st.shadowOK = 0, false
-	st.anyPri = false
 	st.preVictims = st.preVictims[:0]
 	st.preempts = nil
 	st.lastAccount, st.usedIntegral = 0, 0
@@ -703,9 +699,6 @@ func (st *schedState) arrive(j Job) {
 	if j.Priority == 0 {
 		j.Priority = j.App.Priority
 	}
-	if j.Priority != 0 {
-		st.anyPri = true
-	}
 	if !j.App.Constraint.Zero() && !st.constraintSatisfiable(j.App) {
 		st.failJob(j, "node constraint matches no cluster node")
 		st.publishState()
@@ -787,9 +780,10 @@ func (st *schedState) topQueued() int {
 
 // dispatch starts as many queued jobs as the policy and resources
 // allow, running the placement stage to a fixpoint. When a scan makes
-// no progress and priorities are in play, one preemption pass may
-// evict lower-priority running jobs to admit the blocked head; the
-// freed resources are consumed by the rescan that follows.
+// no progress and a priority level below the head's was queued this
+// run, one preemption pass may evict lower-priority running jobs to
+// admit the blocked head; the freed resources are consumed by the
+// rescan that follows.
 //
 // Each scan starts where the memo says the last fruitless one left
 // off: on a hit only the entries queued since are offered the
@@ -815,7 +809,10 @@ func (st *schedState) dispatch() {
 			scanTo: len(st.queue), maxPri: top,
 		}
 		st.compactQueue()
-		if top <= bar || !st.anyPri || !st.s.Config.Preempt || !st.preemptPass() {
+		// Every running job passed through enqueue, so preemption can
+		// find a victim only if a level below top was enqueued this run.
+		n := len(st.levels)
+		if top <= bar || n == 0 || st.levels[n-1].pri >= top || !st.s.Config.Preempt || !st.preemptPass() {
 			break
 		}
 	}
@@ -836,58 +833,40 @@ func (st *schedState) memoHit() bool {
 		m.shadow == st.shadowTime()
 }
 
-// dispatchPass scans the live queue entries from index from on and
-// starts at most one job (a start invalidates the shadow window and
-// resource state, so the caller rescans). Started entries are
-// tombstoned in place and skipped, so a scan only visits live entries.
-// The first entry visited is the queue head only if its priority
-// exceeds bar, the highest priority among the skipped entries. Without
-// priorities the scan is the legacy index-order walk; with priorities
-// it follows scanOrder (priority descending, arrival order within a
-// priority level).
+// dispatchPass offers the free resources to the live queue entries
+// from index from on and starts at most one job (a start invalidates
+// the shadow window and resource state, so the caller rescans). It
+// walks the priority levels in descending order, skipping empty ones,
+// and within a level visits the live entries in arrival order, so the
+// dispatch head is always an earliest highest-priority job and a job
+// only starts after every higher-priority candidate was offered the
+// resources first. The first entry visited is the head only if its
+// priority exceeds bar, the highest priority among the skipped
+// entries.
 func (st *schedState) dispatchPass(from, bar int) bool {
-	if st.anyPri {
-		return st.dispatchPassPri(from, bar)
-	}
-	first := true
-	for qi := from; qi < len(st.queue); qi++ {
-		e := &st.queue[qi]
-		if e.started {
+	var last *queueEntry
+	for _, l := range st.levels {
+		if l.live == 0 {
 			continue
 		}
-		head := first && e.job.Priority > bar
-		first = false
-		if !head && st.s.Config.Policy == FCFS {
-			break // head of queue blocks
-		}
-		if st.offer(e, head) {
-			return true
-		}
-	}
-	return false
-}
-
-// dispatchPassPri is the priority-aware scan: candidates are visited
-// in (priority descending, index ascending) order, so the dispatch
-// head is always a highest-priority job and a lower-priority job only
-// starts after every higher-priority candidate was offered the
-// resources first — no priority inversion at dispatch, asserted via
-// the scan order's monotonicity.
-func (st *schedState) dispatchPassPri(from, bar int) bool {
-	order := st.scanOrder(from)
-	for k, qi := range order {
-		e := &st.queue[qi]
-		if k > 0 && st.queue[order[k-1]].job.Priority < e.job.Priority {
-			st.failure = fmt.Errorf("jobsched: priority inversion in dispatch order (%q before %q)",
-				st.queue[order[k-1]].job.ID, e.job.ID)
-			return false
-		}
-		head := k == 0 && e.job.Priority > bar
-		if !head && st.s.Config.Policy == FCFS {
-			break // head of queue blocks
-		}
-		if st.offer(e, head) {
-			return true
+		for qi := from; qi < len(st.queue); qi++ {
+			e := &st.queue[qi]
+			if e.started || e.job.Priority != l.pri {
+				continue
+			}
+			if last != nil && last.job.Priority < e.job.Priority {
+				st.failure = fmt.Errorf("jobsched: priority inversion in dispatch order (%q before %q)",
+					last.job.ID, e.job.ID)
+				return false
+			}
+			head := last == nil && e.job.Priority > bar
+			last = e
+			if !head && st.s.Config.Policy == FCFS {
+				return false // head of queue blocks
+			}
+			if st.offer(e, head) {
+				return true
+			}
 		}
 	}
 	return false
@@ -908,32 +887,6 @@ func (st *schedState) offer(e *queueEntry, head bool) bool {
 	mJobsStarted.Inc()
 	st.tombstone(e)
 	return true
-}
-
-// scanOrder fills the scan scratch with the live queue indices from
-// index from on, sorted by (priority descending, index ascending) via
-// a stable insertion sort — small queues, no allocation, FIFO
-// preserved within a priority level.
-func (st *schedState) scanOrder(from int) []int {
-	order := st.scanIdx[:0]
-	for qi := from; qi < len(st.queue); qi++ {
-		if st.queue[qi].started {
-			continue
-		}
-		order = append(order, qi)
-	}
-	for i := 1; i < len(order); i++ {
-		v := order[i]
-		p := st.queue[v].job.Priority
-		j := i - 1
-		for j >= 0 && st.queue[order[j]].job.Priority < p {
-			order[j+1] = order[j]
-			j--
-		}
-		order[j+1] = v
-	}
-	st.scanIdx = order
-	return order
 }
 
 // compactQueue advances the head index past tombstones and reclaims the

@@ -24,8 +24,9 @@ type memoOp func(o *Online) string
 
 // randomMemoOp draws one operation from r. ids lists every submitted
 // job id; cancels pick among the latest ones, which are mostly queued.
-// mixed draws priorities 5 and -2 besides 0; without it the session
-// stays on the legacy index-order scan.
+// mixed draws priorities 5 and -2 besides 0; without it every job sits
+// on one priority level, so the scan is plain arrival order and
+// preemption never runs.
 func randomMemoOp(r *rng.Source, apps []*workload.Spec, ids *[]string, n *int, mixed bool) memoOp {
 	pri := func() int {
 		switch x := r.Float64(); {

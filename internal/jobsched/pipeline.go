@@ -7,8 +7,8 @@ package jobsched
 // watts and nodes admit a blocked higher-priority job), and the
 // bounded reconciler that converges desired-versus-actual placement
 // after node-health or bound changes instead of patching event by
-// event. All of it is gated so that runs without priorities or
-// constraints take the exact legacy code paths.
+// event. Jobs without constraints skip the filter, and preemption runs
+// only when a priority level below the blocked head's was queued.
 
 import (
 	"fmt"

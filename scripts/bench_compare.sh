@@ -66,8 +66,8 @@ END {
         checked++
         # The all-equal-priority hot path carries a tighter budget: the
         # feasibility/score/preempt stages must stay off it entirely, so
-        # any growth past 10% over the recorded baseline means the
-        # priority pipeline leaked into the legacy dispatch scan.
+        # any growth past 10% over the recorded baseline means runs
+        # whose jobs all share one priority pay for priority handling.
         lim = (name == "BenchmarkJobschedThroughput") ? 1.10 : 1.20
         if (mns[name] > bns[name] * lim) {
             printf "bench_compare: FAIL %s ns/op %.0f, baseline %.0f (+%d%% limit)\n", name, mns[name], bns[name], (lim - 1) * 100 + 0.5

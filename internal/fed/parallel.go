@@ -211,31 +211,9 @@ func (f *Federation) runWindow(tFed float64, fedOk bool, workers int) {
 	if len(f.winShards) == 0 {
 		return
 	}
-	if workers > len(f.winShards) {
-		workers = len(f.winShards)
-	}
-	if workers <= 1 {
-		for _, id := range f.winShards {
-			f.windowShard(id, bound)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					k := int(next.Add(1)) - 1
-					if k >= len(f.winShards) {
-						return
-					}
-					f.windowShard(f.winShards[k], bound)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	fanOut(workers, len(f.winShards), func(k int) {
+		f.windowShard(f.winShards[k], bound)
+	})
 
 	// Serial barrier: merge per-shard scratch in shard order, credit
 	// the window's events to the shared counters, re-key the heap and
@@ -268,6 +246,38 @@ func (f *Federation) runWindow(tFed float64, fedOk bool, workers int) {
 	f.maybeStopShardFaults()
 	mWindows.Inc()
 	hBarrier.Observe(time.Since(barrierStart).Seconds())
+}
+
+// fanOut calls fn(k) for every k in [0, n) on up to workers goroutines
+// pulling indices off a shared counter, and returns once all calls are
+// done. With workers (clamped to n) at most 1 it runs inline, in index
+// order. Each fn(k) must touch only state owned by index k.
+func fanOut(workers, n int, fn func(k int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for k := 0; k < n; k++ {
+			fn(k)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= n {
+					return
+				}
+				fn(k)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // windowShard runs one shard's pre-barrier events; the result lands in
@@ -326,31 +336,9 @@ func (f *Federation) runPartitioned(workers int) error {
 
 	// Replay every shard to quiescence concurrently (shards without
 	// arrivals may still own pending events from earlier serial steps).
-	if workers > len(f.shards) {
-		workers = len(f.shards)
-	}
-	if workers <= 1 {
-		for _, sh := range f.shards {
-			f.replayShard(sh, perShard[sh.ID])
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					k := int(next.Add(1)) - 1
-					if k >= len(f.shards) {
-						return
-					}
-					f.replayShard(f.shards[k], perShard[k])
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	fanOut(workers, len(f.shards), func(k int) {
+		f.replayShard(f.shards[k], perShard[k])
+	})
 
 	// Single barrier: merge in shard order, reconstruct the serial
 	// event/audit counts, one physical audit over the final state.
@@ -431,32 +419,10 @@ func (f *Federation) drainParallel(workers int) error {
 	}
 	f.rekeyTouched()
 	f.audit()
-	if workers > len(f.shards) {
-		workers = len(f.shards)
-	}
 	errs := make([]error, len(f.shards))
-	if workers <= 1 {
-		for i, sh := range f.shards {
-			errs[i] = sh.Online.Drain()
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					k := int(next.Add(1)) - 1
-					if k >= len(f.shards) {
-						return
-					}
-					errs[k] = f.shards[k].Online.Drain()
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	fanOut(workers, len(f.shards), func(k int) {
+		errs[k] = f.shards[k].Online.Drain()
+	})
 	for _, sh := range f.shards {
 		if errs[sh.ID] != nil {
 			f.fail(errs[sh.ID])

@@ -40,6 +40,11 @@ type SubmitRequest struct {
 // rejected with 400 (split them client-side).
 const maxBatch = 4096
 
+// maxBody caps every request body at 1 MiB, ~30× a 1024-entry batch, so
+// an oversized body is refused with 413 while it is read rather than
+// buffered whole before maxBatch can reject it.
+const maxBody = 1 << 20
+
 // BatchSubmitRequest is the body of POST /v1/jobs:batch.
 type BatchSubmitRequest struct {
 	Jobs []SubmitRequest `json:"jobs"`
@@ -199,7 +204,8 @@ func (s *Server) reqCtx(r *http.Request) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(r.Context(), s.opts.RequestTimeout)
 }
 
-// writeJSON renders one response.
+// writeJSON renders one response; every body the route handlers send
+// goes through it.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -253,21 +259,37 @@ func (s *Server) writeErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, errQueueFull):
 		w.Header().Set("Retry-After",
-			strconv.Itoa(retryAfterHint(s.adm.waiting(), s.opts.Timescale)))
+			strconv.Itoa(retryAfterHint(len(s.adm), s.opts.Timescale)))
 		s.mRejected.Inc()
 	case errors.Is(err, errDraining):
 		s.mRejected.Inc()
 	case errors.Is(err, errBusy):
 		w.Header().Set("Retry-After",
-			strconv.Itoa(retryAfterHint(s.adm.waiting(), s.opts.Timescale)))
+			strconv.Itoa(retryAfterHint(len(s.adm), s.opts.Timescale)))
 	}
 	writeJSON(w, errCode(err), ErrorJSON{Error: err.Error()})
 }
 
+// decodeBody decodes r's JSON body into v, reading at most maxBody
+// bytes. On failure it answers 413 (body over maxBody) or 400 (anything
+// else) itself and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, code, ErrorJSON{Error: "bad request body: " + err.Error()})
+	return false
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorJSON{Error: "bad request body: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	ctx, cancel := s.reqCtx(r)
@@ -282,8 +304,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchSubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorJSON{Error: "bad request body: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Jobs) == 0 {
@@ -322,7 +343,11 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	writeJobList(w, http.StatusOK, list)
+	out := make([]JobJSON, len(list)) // non-nil: an empty list is [], not null
+	for i, js := range list {
+		out[i] = jobJSON(js)
+	}
+	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -355,7 +380,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	writeCluster(w, http.StatusOK, cs, s.draining.Load())
+	writeJSON(w, http.StatusOK, clusterJSON(cs, s.draining.Load()))
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -89,9 +89,9 @@ type Server struct {
 	// lock is a one-slot channel used as the driver mutex so acquisition
 	// can race a context deadline.
 	lock chan struct{}
-	// adm bounds submissions waiting on the lock (sharded admission
-	// control; see admission.go).
-	adm *admission
+	// adm holds one token per submission between admission and the end
+	// of its driver work; its capacity QueueDepth bounds that backlog.
+	adm chan struct{}
 
 	// clock and epoch anchor the wall→virtual mapping; clock is
 	// swappable so bridge tests run on a fake wall clock.
@@ -133,7 +133,7 @@ func New(sched *jobsched.Scheduler, opts Options) (*Server, error) {
 		opts:     opts,
 		drv:      drv,
 		lock:     make(chan struct{}, 1),
-		adm:      newAdmission(opts.QueueDepth),
+		adm:      make(chan struct{}, opts.QueueDepth),
 		clock:    time.Now,
 		stop:     make(chan struct{}),
 		kick:     make(chan struct{}, 1),
@@ -332,66 +332,36 @@ func priBucket(pri int) string {
 	return "normal"
 }
 
-// submit admits one job through admission control: reserve a queue
-// slot (immediate 429 when QueueDepth submissions are already
-// waiting), then acquire the driver under the request deadline.
+// submit admits one job as a batch of one, so ids, telemetry, wakeups
+// and error codes are exactly the batch path's.
 func (s *Server) submit(ctx context.Context, id, app string, pri int) (jobsched.JobStatus, error) {
-	if s.draining.Load() {
-		return jobsched.JobStatus{}, errDraining
-	}
-	shard, ok := s.adm.tryAcquire()
-	if !ok {
-		return jobsched.JobStatus{}, errQueueFull
-	}
-	s.gWaiting.Set(float64(s.adm.waiting()))
-	defer func() {
-		s.adm.release(shard)
-		s.gWaiting.Set(float64(s.adm.waiting()))
-	}()
-	if err := s.acquire(ctx); err != nil {
-		return jobsched.JobStatus{}, fmt.Errorf("%w: %v", errBusy, err)
-	}
-	defer s.release()
-	if s.draining.Load() {
-		return jobsched.JobStatus{}, errDraining
-	}
-	if err := s.syncLocked(); err != nil {
-		return jobsched.JobStatus{}, err
-	}
-	spec, err := resolveApp(app)
+	res, err := s.submitBatch(ctx, []SubmitRequest{{ID: id, App: app, Priority: pri}})
 	if err != nil {
 		return jobsched.JobStatus{}, err
 	}
-	if id == "" {
-		id = fmt.Sprintf("job-%d", s.jobSeq.Add(1))
-	}
-	js, err := s.drv.SubmitPri(id, spec, pri)
-	if err != nil {
-		return jobsched.JobStatus{}, err
-	}
-	s.mSubmits.Inc()
-	s.mSubmitsPri[priBucket(js.Priority)].Inc()
-	s.wake()
-	return js, nil
+	return res[0].Status, res[0].Err
 }
 
 // submitBatch admits a batch of jobs under one admission slot, one
-// driver-lock acquisition and one pump wakeup. Whole-batch failures
-// (admission, drain, lock deadline, sticky driver failure) return an
-// error; otherwise each entry resolves independently with exactly the
-// per-job semantics of submit, in order.
+// driver-lock acquisition and one pump wakeup. The slot is a
+// non-blocking send on adm (immediate 429 when QueueDepth submissions
+// already hold one); the lock is then acquired under the request
+// deadline. Whole-batch failures (admission, drain, lock deadline,
+// sticky driver failure) return an error; otherwise each entry
+// resolves independently, in order.
 func (s *Server) submitBatch(ctx context.Context, reqs []SubmitRequest) ([]jobsched.SubmitResult, error) {
 	if s.draining.Load() {
 		return nil, errDraining
 	}
-	shard, ok := s.adm.tryAcquire()
-	if !ok {
+	select {
+	case s.adm <- struct{}{}:
+	default:
 		return nil, errQueueFull
 	}
-	s.gWaiting.Set(float64(s.adm.waiting()))
+	s.gWaiting.Set(float64(len(s.adm)))
 	defer func() {
-		s.adm.release(shard)
-		s.gWaiting.Set(float64(s.adm.waiting()))
+		<-s.adm
+		s.gWaiting.Set(float64(len(s.adm)))
 	}()
 	if err := s.acquire(ctx); err != nil {
 		return nil, fmt.Errorf("%w: %v", errBusy, err)

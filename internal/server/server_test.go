@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -212,7 +213,7 @@ func TestAdmissionControlQueueFullAndDeadline(t *testing.T) {
 	}()
 	// Give the first submission time to occupy the single slot.
 	deadline := time.Now().Add(time.Second)
-	for s.adm.waiting() == 0 && time.Now().Before(deadline) {
+	for len(s.adm) == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), s.opts.RequestTimeout)
@@ -280,8 +281,28 @@ func doJSON(t *testing.T, method, url string, body any, out any) int {
 	return resp.StatusCode
 }
 
+// getRaw fetches url and returns the status code and the exact body
+// bytes, for assertions on the wire format itself.
+func getRaw(t *testing.T, url string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(body)
+}
+
 func TestHTTPJobLifecycle(t *testing.T) {
 	_, base := httpServer(t, jobsched.Config{Bound: 2000}, Options{Timescale: 1e-6})
+	// A fresh server lists an empty array, not null.
+	if code, body := getRaw(t, base+"/v1/jobs"); code != http.StatusOK || body != "[]\n" {
+		t.Errorf("empty list = %d %q, want 200 \"[]\\n\"", code, body)
+	}
 	var job JobJSON
 	code := doJSON(t, "POST", base+"/v1/jobs", SubmitRequest{ID: "alpha", App: "comd"}, &job)
 	if code != http.StatusCreated {
@@ -298,6 +319,20 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	if got.ID != "alpha" || got.State != "running" {
 		t.Errorf("status %+v", got)
 	}
+	// A running job's zero-valued omitempty fields are absent on the
+	// wire; the set ones are present.
+	_, raw := getRaw(t, base+"/v1/jobs/alpha")
+	for _, key := range []string{`"finish_s"`, `"queue_pos"`, `"priority"`,
+		`"retries"`, `"preemptions"`, `"reclaimed_watts"`, `"reason"`} {
+		if strings.Contains(raw, key) {
+			t.Errorf("status body has zero-valued %s: %s", key, raw)
+		}
+	}
+	for _, key := range []string{`"id":"alpha"`, `"arrival_s":`, `"start_s":`, `"nodes":[`, `"per_node_watts":`} {
+		if !strings.Contains(raw, key) {
+			t.Errorf("status body lacks %s: %s", key, raw)
+		}
+	}
 	// Listing includes it.
 	var list []JobJSON
 	if code := doJSON(t, "GET", base+"/v1/jobs", nil, &list); code != http.StatusOK || len(list) != 1 {
@@ -310,6 +345,9 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	}
 	if cs.Running != 1 || cs.AllocW <= 0 {
 		t.Errorf("cluster %+v", cs)
+	}
+	if _, raw := getRaw(t, base+"/v1/cluster"); strings.Contains(raw, `"draining"`) {
+		t.Errorf("cluster body mentions draining before a drain: %s", raw)
 	}
 	if cs.AllocW+cs.ReservedW > cs.BoundW+1e-6 {
 		t.Errorf("bound invariant violated over HTTP: %+v", cs)
@@ -375,7 +413,7 @@ func TestHTTPBackpressure429(t *testing.T) {
 		done <- doJSON(t, "POST", base+"/v1/jobs", SubmitRequest{App: "comd"}, nil)
 	}()
 	deadline := time.Now().Add(time.Second)
-	for s.adm.waiting() == 0 && time.Now().Before(deadline) {
+	for len(s.adm) == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	req, _ := http.NewRequest("POST", base+"/v1/jobs",
@@ -463,6 +501,9 @@ func TestHTTPDrainEndToEnd(t *testing.T) {
 	var cs ClusterJSON
 	if code := doJSON(t, "GET", base+"/v1/cluster", nil, &cs); code != http.StatusOK {
 		t.Fatal("cluster after drain")
+	}
+	if _, raw := getRaw(t, base+"/v1/cluster"); !strings.Contains(raw, `"draining":true`) {
+		t.Errorf("cluster body after drain lacks \"draining\":true: %s", raw)
 	}
 	if cs.Running != 0 || cs.Queued != 0 || cs.AllocW != 0 || !cs.Draining {
 		t.Errorf("cluster after drain %+v", cs)
@@ -566,6 +607,18 @@ func TestHTTPSubmitBatchValidation(t *testing.T) {
 	}
 	if code := doJSON(t, "POST", base+"/v1/jobs:batch", huge, nil); code != http.StatusBadRequest {
 		t.Errorf("oversized batch code = %d, want 400", code)
+	}
+	// A body past maxBody is refused with 413 on both submit routes
+	// before it is read whole.
+	big := BatchSubmitRequest{Jobs: []SubmitRequest{{ID: strings.Repeat("x", maxBody), App: "comd"}}}
+	for _, c := range []struct {
+		route string
+		body  any
+	}{{"/v1/jobs:batch", big}, {"/v1/jobs", big.Jobs[0]}} {
+		var e ErrorJSON
+		if code := doJSON(t, "POST", base+c.route, c.body, &e); code != http.StatusRequestEntityTooLarge || e.Error == "" {
+			t.Errorf("%s over-cap body: code %d, error %q; want 413 with an error", c.route, code, e.Error)
+		}
 	}
 }
 

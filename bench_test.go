@@ -14,6 +14,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/fed"
 	"repro/internal/hw"
 	"repro/internal/jobsched"
 	"repro/internal/mlr"
@@ -368,6 +369,58 @@ func BenchmarkOnlineDeepQueueSubmit(b *testing.B) {
 		}
 		if o.QueueLen() < 16384-64 {
 			b.Fatalf("cluster not saturated: %d of 16384 jobs queued", o.QueueLen())
+		}
+	}
+}
+
+// fedPartCfg is a 64-shard federation of 4-node, 400 W shards (cmd/
+// clipfed's layout) with locality routing and lending off, so
+// RunParallel takes the partitioned executor.
+func fedPartCfg() fed.Config {
+	cfg := fed.Config{Routing: fed.Locality}
+	for i := 0; i < 64; i++ {
+		cfg.Shards = append(cfg.Shards, fed.ShardConfig{
+			Nodes: 4, BudgetW: 400, Sigma: 0.02, Seed: int64(1000 + i),
+			Policy: jobsched.AggressiveBackfill, Reallocate: true,
+		})
+	}
+	return cfg
+}
+
+// BenchmarkFedPartitioned times RunParallel(2) over the partitioned
+// executor: 8192 arrivals (mean gap 3 s over the workload suite, ids
+// doubling as locality keys) replayed across 64 shards and drained.
+// Building the federation and scheduling the trace are untimed.
+func BenchmarkFedPartitioned(b *testing.B) {
+	const jobs = 8192
+	mix := workload.Suite()
+	r := rng.New(1)
+	times := make([]float64, jobs)
+	ids := make([]string, jobs)
+	apps := make([]*workload.Spec, jobs)
+	now := 0.0
+	for i := range times {
+		now += r.Range(0, 6)
+		times[i], ids[i], apps[i] = now, fmt.Sprintf("job-%05d", i), mix[r.Intn(len(mix))]
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		f, err := fed.New(fedPartCfg())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for k := range times {
+			if err := f.ScheduleArrival(times[k], ids[k], apps[k], ids[k]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		if err := f.RunParallel(2); err != nil {
+			b.Fatal(err)
+		}
+		if f.Events() < 2*jobs {
+			b.Fatalf("%d events for %d jobs", f.Events(), jobs)
 		}
 	}
 }

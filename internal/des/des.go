@@ -67,7 +67,8 @@ type Event struct {
 	// cancelled events stay in the heap but do nothing when popped.
 	cancelled bool
 	// eng is the owning engine while the event is pending; nil once it
-	// has fired or been reclaimed (events are recycled via a free list).
+	// has fired, been reclaimed (events are recycled via a free list) or
+	// been discarded.
 	eng *Engine
 }
 
@@ -302,6 +303,35 @@ func (e *Engine) Next() (float64, bool) {
 		e.reclaim(top)
 	}
 	return 0, false
+}
+
+// Pending returns the number of pending live (not cancelled) events.
+func (e *Engine) Pending() int { return len(e.queue) - e.cancelled }
+
+// Discard drops every pending event without firing it and advances the
+// clock to the latest live one's timestamp (the clock a run firing them
+// all would end on). It returns the number of live events dropped;
+// they count as neither steps nor processed events. It is the hand-off
+// primitive of a layer that has proven it can replay its pending
+// events itself, in the engine's (time, seq) order, from its own
+// arenas: the events need not be popped one by one to be read. The
+// dropped events and the queue's backing go to the garbage collector
+// rather than the free list — the layer took over their work, so the
+// engine is not expected to hold that many again.
+func (e *Engine) Discard() int {
+	n := 0
+	for _, ev := range e.queue {
+		if !ev.cancelled {
+			n++
+			if ev.Time > e.now {
+				e.now = ev.Time
+			}
+		}
+		ev.eng = nil // pending no more: Cancel becomes a no-op
+	}
+	e.queue = nil
+	e.cancelled = 0
+	return n
 }
 
 // StepNext fires exactly the earliest pending live event and advances

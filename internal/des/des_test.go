@@ -668,3 +668,47 @@ func TestEngineRunBefore(t *testing.T) {
 		t.Error("RunBefore ignored maxSteps")
 	}
 }
+
+// TestEngineDiscard: Discard drops every pending event unfired — live
+// and cancelled alike — moves the clock to the latest live event's
+// time, counts no steps, and leaves the engine reusable.
+func TestEngineDiscard(t *testing.T) {
+	e := NewEngine()
+	fired := 0
+	fire := func() { fired++ }
+	for _, tm := range []float64{4, 1, 9, 2} {
+		if _, err := e.At(tm, fire); err != nil {
+			t.Fatal(err)
+		}
+	}
+	late, err := e.At(12, fire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late.Cancel()
+	if got := e.Pending(); got != 4 {
+		t.Fatalf("pending = %d, want 4 live events", got)
+	}
+	if err := e.RunUntil(1.5, 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.Discard(); n != 3 || fired != 1 {
+		t.Fatalf("discarded %d (fired %d), want 3 dropped after 1 fired", n, fired)
+	}
+	if e.Now() != 9 || e.Pending() != 0 || e.Steps != 1 {
+		t.Fatalf("after discard: now %v, pending %d, steps %d; want 9, 0, 1", e.Now(), e.Pending(), e.Steps)
+	}
+	if _, ok := e.Next(); ok {
+		t.Fatal("an event survived Discard")
+	}
+	late.Cancel() // reclaimed: a no-op
+	if _, err := e.At(8, fire); err == nil {
+		t.Fatal("scheduled before the discarded events' clock")
+	}
+	if _, err := e.At(10, fire); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(0, 0); err != nil || fired != 2 {
+		t.Fatalf("run after discard: err %v, fired %d", err, fired)
+	}
+}

@@ -224,8 +224,38 @@ type fedArrival struct {
 	id  string
 	app *workload.Spec
 	key string  // locality key (Locality routing)
-	t   float64 // scheduled arrival time (partitioned replay)
+	t   float64 // scheduled arrival time
 	pri int     // scheduling priority (0 inherits the app default)
+}
+
+// arrivalBlock is the arrival arena's block size in entries.
+const arrivalBlock = 1024
+
+// arrivalArena stores the scheduled arrivals in fixed-size blocks:
+// scheduling one never copies the earlier ones (a growing slice would
+// reallocate and copy the whole trace again and again), and an
+// entry's address is stable for the life of the federation.
+type arrivalArena struct {
+	blocks [][]fedArrival
+	n      int
+}
+
+// len returns the number of arrivals stored.
+func (a *arrivalArena) len() int { return a.n }
+
+// at returns arrival i.
+func (a *arrivalArena) at(i int) *fedArrival {
+	return &a.blocks[i/arrivalBlock][i%arrivalBlock]
+}
+
+// push appends one arrival.
+func (a *arrivalArena) push(x fedArrival) {
+	if a.n%arrivalBlock == 0 {
+		a.blocks = append(a.blocks, make([]fedArrival, 0, arrivalBlock))
+	}
+	b := &a.blocks[len(a.blocks)-1]
+	*b = append(*b, x)
+	a.n++
 }
 
 // Federation drives N shards from one shared clock. Not safe for
@@ -240,7 +270,7 @@ type Federation struct {
 	// event anywhere in the federation.
 	now float64
 	// arrivals is the arrival arena referenced by fevArrival events.
-	arrivals []fedArrival
+	arrivals arrivalArena
 	// jobShard maps a job id to the shard it was routed to.
 	jobShard map[string]int
 	// broker state
@@ -284,11 +314,6 @@ type Federation struct {
 	// (participant ids, per-shard results merged at the barrier).
 	winShards []int
 	winRes    []windowResult
-	// collecting / collect implement the partitioned executor's arrival
-	// drain: while collecting is set, fevArrival events append their
-	// arrival here (in engine pop order) instead of routing it.
-	collecting bool
-	collect    []fedArrival
 }
 
 // New builds a federation of len(cfg.Shards) shards. Shard clusters and
@@ -390,11 +415,7 @@ func (f *Federation) HandleEvent(kind uint16, arg uint64) {
 	switch kind {
 	case fevArrival:
 		f.arrivalsLeft--
-		if f.collecting {
-			f.collect = append(f.collect, f.arrivals[arg])
-			return
-		}
-		f.routeArrival(f.arrivals[arg])
+		f.routeArrival(f.arrivals.at(int(arg)))
 	case fevLeaseExpiry:
 		f.expireLease(f.leases[arg])
 	case fevShardCrash:
@@ -433,18 +454,22 @@ func (f *Federation) ScheduleArrivalPri(t float64, id string, app *workload.Spec
 	if _, dup := f.jobShard[id]; dup {
 		return fmt.Errorf("fed: duplicate job id %q", id)
 	}
-	f.jobShard[id] = -1 // reserved; set on routing
-	f.arrivals = append(f.arrivals, fedArrival{id: id, app: app, key: key, t: t, pri: pri})
-	_, err := f.eng.AtHandler(t, f, fevArrival, uint64(len(f.arrivals)-1))
-	if err == nil {
-		f.arrivalsLeft++
+	// The engine validates t; the id is reserved only once the event is
+	// scheduled, so a rejected time leaves nothing behind and every
+	// arrivals entry owns exactly one engine event (the partitioned
+	// executor's index split relies on it).
+	if _, err := f.eng.AtHandler(t, f, fevArrival, uint64(f.arrivals.len())); err != nil {
+		return fmt.Errorf("fed: job %q: %w", id, err)
 	}
-	return err
+	f.jobShard[id] = -1 // reserved; set on routing
+	f.arrivals.push(fedArrival{id: id, app: app, key: key, t: t, pri: pri})
+	f.arrivalsLeft++
+	return nil
 }
 
 // routeArrival places one due arrival onto a shard.
-func (f *Federation) routeArrival(a fedArrival) {
-	sh := f.shards[f.pickShard(a)]
+func (f *Federation) routeArrival(a *fedArrival) {
+	sh := f.shards[f.pickShard(*a)]
 	f.touch(sh)
 	if err := sh.Online.Advance(f.eng.Now()); err != nil {
 		f.fail(err)

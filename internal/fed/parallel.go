@@ -164,12 +164,16 @@ func (f *Federation) RunParallel(workers int) error {
 	}
 	f.ensureHeap()
 	if f.failure == nil && !f.anyFaults && f.sfaults == nil &&
-		f.cfg.Routing == Locality && f.lendingInert() {
+		f.cfg.Routing == Locality && f.lendingInert() &&
+		f.eng.Pending() == f.arrivalsLeft {
 		// Locality routing is a pure hash of the job key — arrivals
 		// read no cross-shard state — and the broker can never act, so
 		// the federation has no interaction points at all: the run is
 		// one infinite window per shard. A shard-fault stream disables
-		// this path: health transitions are interaction points.
+		// this path: health transitions are interaction points. So does
+		// any federation event other than a pending arrival (a lease
+		// expiry left over from earlier steps): the replay hands only
+		// arrivals to the shards.
 		return f.runPartitioned(workers)
 	}
 	for f.failure == nil && !f.interrupted.Load() {
@@ -296,48 +300,57 @@ func (f *Federation) windowShard(id int, bound float64) {
 // — its own events interleaved with the arrivals hashed to it — is
 // causally independent of every other shard's.
 //
-// The arrivals drain off the federation engine serially in (time, seq)
-// order, exactly the order the serial run would route them, and are
-// partitioned by the same pure pickShard. Each worker then replays one
+// The pending arrivals never pass through the engine. Their indices
+// into f.arrivals, ordered by (time, index), are exactly the engine's
+// (time, seq) pop order — the order the serial run would route them —
+// because each arrival owns one event and seq grows with the index. A
+// counting sort by the same pure pickShard splits that order into one
+// flat index buffer, a contiguous run per shard, and the engine drops
+// the events unfired (des.Engine.Discard). Each worker then replays one
 // shard start to finish: Advance + Submit at each of its arrival times
 // replicates routeArrival on the shard's own timeline, with the shard
 // events between arrivals processed as ordinary steps. The serial run's
 // per-event broker passes and audits are no-ops throughout (nothing
 // they observe ever changes), so crediting the event and audit counters
 // with the totals and running one physical check at the end reproduces
-// Run's output byte for byte.
+// Run's output byte for byte. The replay keeps no copy of an arrival:
+// per job it holds one int32 index and one shard id until the barrier.
 func (f *Federation) runPartitioned(workers int) error {
-	// Pop every pending arrival without routing it; engine pop order is
-	// (time, seq), the serial processing order.
-	f.collect = f.collect[:0]
-	f.collecting = true
-	for {
-		if _, ok := f.eng.Next(); !ok {
-			break
-		}
-		if _, err := f.eng.StepNext(); err != nil {
-			f.collecting = false
-			return f.latch(err)
-		}
-	}
-	f.collecting = false
+	order := f.pendingArrivals()
+	nArr := len(order)
 
 	// Placement is a pure hash, so it happens serially up front; the
 	// shared jobShard map and routing telemetry never see the workers.
-	perShard := make([][]fedArrival, len(f.shards))
-	for _, a := range f.collect {
-		sid := f.pickShard(a)
-		f.jobShard[a.id] = sid
-		f.shards[sid].submitted++
-		perShard[sid] = append(perShard[sid], a)
+	// sid[k] is order[k]'s shard; start[s] becomes shard s's offset in
+	// split once the counts are summed.
+	sid := make([]int32, nArr)
+	start := make([]int, len(f.shards)+1)
+	for k, i := range order {
+		a := f.arrivals.at(int(i))
+		s := f.pickShard(*a)
+		sid[k] = int32(s)
+		start[s+1]++
+		f.jobShard[a.id] = s
+		f.shards[s].submitted++
 	}
-	nArr := len(f.collect)
+	for s := 1; s < len(start); s++ {
+		start[s] += start[s-1]
+	}
+	split := make([]int32, nArr)
+	next := append([]int(nil), start[:len(f.shards)]...)
+	for k, i := range order {
+		s := sid[k]
+		split[next[s]] = i
+		next[s]++
+	}
 	mFedJobsRouted.Add(uint64(nArr))
+	f.eng.Discard()
+	f.arrivalsLeft = 0
 
 	// Replay every shard to quiescence concurrently (shards without
 	// arrivals may still own pending events from earlier serial steps).
 	fanOut(workers, len(f.shards), func(k int) {
-		f.replayShard(f.shards[k], perShard[k])
+		f.replayShard(f.shards[k], split[start[k]:start[k+1]])
 	})
 
 	// Single barrier: merge in shard order, reconstruct the serial
@@ -372,15 +385,41 @@ func (f *Federation) runPartitioned(workers int) error {
 	return f.drainParallel(workers)
 }
 
+// pendingArrivals returns the indices of the arrivals not yet routed,
+// in (time, index) order. Earlier serial steps routed a prefix of that
+// order (the engine fires arrivals in it, and a later-scheduled arrival
+// sorts after every fired one), so the pending ones are its last
+// arrivalsLeft entries. Arrivals scheduled in time order — the common
+// case, checked in one pass — need no sort.
+func (f *Federation) pendingArrivals() []int32 {
+	n := f.arrivals.len()
+	order := make([]int32, n)
+	sorted := true
+	for i := range order {
+		order[i] = int32(i)
+		if i > 0 && f.arrivals.at(i).t < f.arrivals.at(i-1).t {
+			sorted = false
+		}
+	}
+	if !sorted {
+		sort.SliceStable(order, func(a, b int) bool {
+			return f.arrivals.at(int(order[a])).t < f.arrivals.at(int(order[b])).t
+		})
+	}
+	return order[n-f.arrivalsLeft:]
+}
+
 // replayShard runs one shard's full timeline: events strictly before
 // each of its arrivals count as ordinary steps (exactly the events the
 // serial run pops individually), then Advance + Submit at the arrival
 // time replicate routeArrival — events at exactly the arrival time fire
 // inside Advance, uncounted, matching the serial fed-wins-ties rule.
-func (f *Federation) replayShard(sh *Shard, arrivals []fedArrival) {
+// arrivals holds the shard's indices into f.arrivals in routing order.
+func (f *Federation) replayShard(sh *Shard, arrivals []int32) {
 	n := 0
 	var err error
-	for _, a := range arrivals {
+	for _, i := range arrivals {
+		a := f.arrivals.at(int(i))
 		var k int
 		k, err = sh.Online.ProcessEventsUntil(a.t)
 		n += k

@@ -55,9 +55,12 @@ func TestParallelByteIdentity(t *testing.T) {
 
 // TestPartitionedByteIdentity: locality routing with lending off takes
 // the partitioned fast path (one window per shard); it must still match
-// the serial run byte for byte.
+// the serial run byte for byte — also when arrivals were scheduled out
+// of time order, when several share one timestamp, and when serial
+// steps and further arrivals came before RunParallel.
 func TestPartitionedByteIdentity(t *testing.T) {
-	build := func() *Federation {
+	mix := apps()
+	newFed := func() *Federation {
 		f, err := New(Config{
 			Shards:  shardCfg(8, 4, 500, jobsched.AggressiveBackfill),
 			Routing: Locality,
@@ -65,31 +68,141 @@ func TestPartitionedByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mix := apps()
-		r := rng.New(5)
-		now := 0.0
-		for i := 0; i < 96; i++ {
-			now += r.Range(0, 4)
-			id := fmt.Sprintf("j%04d", i)
-			if err := f.ScheduleArrival(now, id, mix[i%len(mix)], id); err != nil {
-				t.Fatal(err)
-			}
-		}
 		return f
 	}
-	f := build()
-	if err := f.Run(); err != nil {
+	schedule := func(f *Federation, at float64, i int) {
+		id := fmt.Sprintf("j%04d", i)
+		if err := f.ScheduleArrival(at, id, mix[i%len(mix)], id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// times is a seeded increasing arrival trace.
+	times := func(n int) []float64 {
+		r := rng.New(5)
+		out := make([]float64, n)
+		now := 0.0
+		for i := range out {
+			now += r.Range(0, 4)
+			out[i] = now
+		}
+		return out
+	}
+	cases := []struct {
+		name  string
+		build func(f *Federation)
+	}{
+		{"in-order", func(f *Federation) {
+			for i, at := range times(96) {
+				schedule(f, at, i)
+			}
+		}},
+		{"out-of-order", func(f *Federation) {
+			// A seeded Fisher-Yates shuffle of the in-order trace.
+			ts := times(96)
+			r := rng.New(9)
+			for i := len(ts) - 1; i > 0; i-- {
+				k := r.Intn(i + 1)
+				ts[i], ts[k] = ts[k], ts[i]
+			}
+			for i, at := range ts {
+				schedule(f, at, i)
+			}
+		}},
+		{"shared-timestamps", func(f *Federation) {
+			// Eight groups of twelve arrivals at one exact time each,
+			// the groups scheduled in shuffled time order: same-shard
+			// ties must keep their scheduling order.
+			for i := 0; i < 96; i++ {
+				schedule(f, float64((i/12*5)%8)*20, i)
+			}
+		}},
+		{"steps-then-more", func(f *Federation) {
+			for i, at := range times(64) {
+				schedule(f, at, i)
+			}
+			for k := 0; k < 40; k++ {
+				if _, err := f.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Later arrivals interleave with the pending ones, one at
+			// exactly the shared clock and two sharing a time.
+			base := f.Now()
+			for i := 64; i < 96; i++ {
+				schedule(f, base+float64((i*37)%29)*3, i)
+			}
+		}},
+	}
+	for _, c := range cases {
+		f := newFed()
+		c.build(f)
+		if err := f.Run(); err != nil {
+			t.Fatalf("%s: serial: %v", c.name, err)
+		}
+		want := renderRun(f)
+		for _, workers := range []int{1, 2, 4, 8} {
+			g := newFed()
+			c.build(g)
+			before := mWindows.Value()
+			if err := g.RunParallel(workers); err != nil {
+				t.Fatalf("%s: parallel(%d): %v", c.name, workers, err)
+			}
+			if d := mWindows.Value() - before; d != 1 {
+				t.Errorf("%s: parallel(%d) ran %d windows, want the one partitioned window", c.name, workers, d)
+			}
+			if got := renderRun(g); got != want {
+				t.Fatalf("%s: partitioned(%d) diverged from serial:\n--- serial ---\n%s--- parallel ---\n%s",
+					c.name, workers, want, got)
+			}
+		}
+	}
+}
+
+// TestScheduleArrivalRejectedTimeReservesNothing: an arrival rejected
+// for its time (NaN, infinite, or before the federation engine's
+// clock) reserves neither its id nor an arrival slot, so a retry with
+// a valid time succeeds and the job runs once.
+func TestScheduleArrivalRejectedTimeReservesNothing(t *testing.T) {
+	f, err := New(Config{Shards: shardCfg(2, 4, 800, jobsched.Backfill), Routing: Locality})
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := renderRun(f)
-	for _, workers := range []int{1, 2, 4, 8} {
-		g := build()
-		if err := g.RunParallel(workers); err != nil {
-			t.Fatalf("parallel(%d): %v", workers, err)
+	app := workload.CoMD()
+	for _, bad := range []float64{math.NaN(), math.Inf(1), -1} {
+		if err := f.ScheduleArrival(bad, "a", app, ""); err == nil {
+			t.Fatalf("time %v accepted", bad)
 		}
-		if got := renderRun(g); got != want {
-			t.Fatalf("partitioned(%d) diverged from serial:\n--- serial ---\n%s--- parallel ---\n%s",
-				workers, want, got)
+	}
+	if _, known := f.JobShard("a"); known || f.ArrivalsPending() != 0 {
+		t.Fatalf("rejected arrival left a reservation (pending %d)", f.ArrivalsPending())
+	}
+	if err := f.ScheduleArrival(10, "a", app, ""); err != nil {
+		t.Fatalf("retry with a valid time: %v", err)
+	}
+	if err := f.ScheduleArrival(20, "b", app, ""); err != nil {
+		t.Fatal(err)
+	}
+	for f.ArrivalsPending() > 0 {
+		if _, err := f.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.ScheduleArrival(5, "c", app, ""); err == nil {
+		t.Fatal("arrival before the engine clock accepted")
+	}
+	if err := f.ScheduleArrival(f.Now()+5, "c", app, ""); err != nil {
+		t.Fatalf("retry after a past time: %v", err)
+	}
+	if err := f.RunParallel(2); err != nil {
+		t.Fatal(err)
+	}
+	jobs := f.Jobs()
+	if len(jobs) != 3 {
+		t.Fatalf("%d jobs ran, want 3", len(jobs))
+	}
+	for _, js := range jobs {
+		if js.State != jobsched.JobCompleted {
+			t.Errorf("job %s ended %s", js.ID, js.State)
 		}
 	}
 }

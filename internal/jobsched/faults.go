@@ -197,7 +197,9 @@ func (st *schedState) jobDone() {
 // the telemetry decision-event ring.
 func (st *schedState) logFault(kind string, node int, job string, watts float64, detail string) {
 	fe := FaultEvent{T: st.eng.Now(), Kind: kind, Node: node, Job: job, Watts: watts, Detail: detail}
-	st.stats.FaultLog = append(st.stats.FaultLog, fe)
+	if !st.online {
+		st.stats.FaultLog = append(st.stats.FaultLog, fe)
+	}
 	telemetry.Default.Events().Append(telemetry.Event{
 		Kind: telemetry.KindFault, TimeS: fe.T, App: job, Detail: fe.String(),
 	})
@@ -401,7 +403,9 @@ func (st *schedState) failJob(j Job, reason string) {
 		ID: j.ID, Arrival: j.Arrival, FailedAt: st.eng.Now(),
 		Retries: st.retries[j.ID], Reason: reason,
 	}
-	st.stats.Failed = append(st.stats.Failed, fj)
+	if !st.online {
+		st.stats.Failed = append(st.stats.Failed, fj)
+	}
 	if st.hooks.onFail != nil {
 		st.hooks.onFail(fj)
 	}

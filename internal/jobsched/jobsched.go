@@ -208,7 +208,10 @@ type Stats struct {
 	// AvgPowerUse is the time-averaged fraction of the bound allocated
 	// to running jobs.
 	AvgPowerUse float64
-	Jobs        []JobResult
+	// Jobs, Failed and FaultLog are filled by Run only: an Online
+	// session keeps one terminal snapshot per job in its own index
+	// (Online.Status) and no second copy here.
+	Jobs []JobResult
 	// Failed lists jobs that exhausted their retries (or had no node
 	// left) under fault injection; every submitted job ends up in Jobs
 	// or Failed.
@@ -458,7 +461,8 @@ type schedState struct {
 	failure      error
 	// online marks an incrementally driven run (Scheduler.Online): the
 	// fault streams outlive idle periods instead of stopping when the
-	// in-flight job count touches zero, and drain is explicit.
+	// in-flight job count touches zero, drain is explicit, and the
+	// Run-only lists of Stats (Jobs, Failed, FaultLog) stay empty.
 	online bool
 	// hooks observe job lifecycle transitions (online driver support).
 	hooks lifecycleHooks
@@ -1139,7 +1143,11 @@ func (st *schedState) finish(rj *runningJob) {
 		// stats arena — no per-job allocation).
 		jr.NodeIDs = st.stats.internNodeIDs(jr.NodeIDs)
 	}
-	st.stats.Jobs = append(st.stats.Jobs, jr)
+	if !st.online {
+		// Only Run reports the job list; an online session keeps the
+		// snapshot in its job index alone (the onFinish hook).
+		st.stats.Jobs = append(st.stats.Jobs, jr)
+	}
 	if st.hooks.onFinish != nil {
 		st.hooks.onFinish(jr)
 	}

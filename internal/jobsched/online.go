@@ -143,18 +143,24 @@ type lifecycleHooks struct {
 	onFail   func(FailedJob)
 }
 
-// jobRecord is the online driver's account of one submitted job.
+// jobRecord is the online driver's account of one submitted job, the
+// one record a session keeps of it once it is terminal: the scheduler's
+// Run-only lists (Stats.Jobs, Failed, FaultLog) stay empty online.
 type jobRecord struct {
 	job        Job
 	state      JobState
-	result     JobResult // terminal snapshot (completed)
-	failed     FailedJob // terminal snapshot (failed)
-	finishedAt float64   // terminal time (cancellation time when cancelled)
-	reclaimedW float64   // power returned by a cancellation
+	result     JobResult  // terminal snapshot (completed)
+	failed     *FailedJob // terminal snapshot (failed only; nil otherwise)
+	finishedAt float64    // terminal time (cancellation time when cancelled)
+	reclaimedW float64    // power returned by a cancellation
 }
 
 // Online drives the scheduler incrementally. Not safe for concurrent
-// use; callers serialise access.
+// use; callers serialise access. Per submitted job a session keeps one
+// jobRecord (the job, its state and its terminal snapshot) for the
+// lifetime of the session; unlike Scheduler.Run it appends nothing to
+// Stats.Jobs, Stats.Failed or Stats.FaultLog (fault events still reach
+// the telemetry event ring).
 type Online struct {
 	st   *schedState
 	jobs map[string]*jobRecord
@@ -184,7 +190,7 @@ func (s *Scheduler) Online() (*Online, error) {
 		onFail: func(f FailedJob) {
 			if rec := o.jobs[f.ID]; rec != nil {
 				rec.state = JobFailed
-				rec.failed = f
+				rec.failed = &f
 				rec.finishedAt = f.FailedAt
 			}
 		},

@@ -1,6 +1,8 @@
 package jobsched
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"strings"
 	"testing"
@@ -460,5 +462,57 @@ func TestOnlineEvacuateQueued(t *testing.T) {
 		if js.State != JobCompleted {
 			t.Errorf("job %s ended %v after drain", id, js.State)
 		}
+	}
+}
+
+// TestOnlineKeepsOneRecordPerJob: an online session keeps each job's
+// terminal snapshot in its job index only — Stats.Jobs, Stats.Failed
+// and Stats.FaultLog are Run's lists and stay empty — while every
+// job's status (start, finish, nodes, retries, reason) is unchanged:
+// the digest was recorded when the session still filled those lists.
+func TestOnlineKeepsOneRecordPerJob(t *testing.T) {
+	o := online(t, Config{Bound: 1200, Policy: AggressiveBackfill, Reallocate: true,
+		Faults: &faults.Scenario{Seed: 5, CrashMTBF: 90, MTTR: 20, ExcursionMTBF: 150,
+			StragglerMTBF: 120, MaxRetries: 1}})
+	apps := []*workload.Spec{workload.CoMD(), workload.LUMZ(), workload.SPMZ(), workload.AMG()}
+	for i := 0; i < 24; i++ {
+		if _, err := o.Submit(fmt.Sprintf("j%02d", i), apps[i%len(apps)]); err != nil {
+			t.Fatal(err)
+		}
+		if err := o.Advance(o.Now() + 7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := o.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	st := o.st.stats
+	if len(st.Jobs) != 0 || len(st.Failed) != 0 || len(st.FaultLog) != 0 {
+		t.Errorf("online session kept Run-only lists: %d jobs, %d failed, %d fault events",
+			len(st.Jobs), len(st.Failed), len(st.FaultLog))
+	}
+	var b strings.Builder
+	completed, failed, retried := 0, 0, 0
+	for _, js := range o.Jobs() {
+		switch js.State {
+		case JobCompleted:
+			completed++
+		case JobFailed:
+			failed++
+		}
+		if js.Retries > 0 {
+			retried++
+		}
+		fmt.Fprintf(&b, "%s %s start=%.9f finish=%.9f nodes=%v retries=%d reason=%q\n",
+			js.ID, js.State, js.Start, js.Finish, js.Nodes, js.Retries, js.Reason)
+	}
+	if completed == 0 || failed == 0 || retried == 0 {
+		t.Fatalf("scenario too mild: %d completed, %d failed, %d retried", completed, failed, retried)
+	}
+	h := fnv.New64a()
+	h.Write([]byte(b.String()))
+	const want = "e3a98a308642b89e"
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
+		t.Errorf("status digest %s, want %s:\n%s", got, want, b.String())
 	}
 }

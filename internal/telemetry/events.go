@@ -102,13 +102,19 @@ type EventLog struct {
 	total uint64  // events ever appended
 	// spare recycles the PerNode backings of evicted entries: events
 	// with and without budgets interleave in the ring, so the slot an
-	// append evicts rarely carries a buffer of its own to reuse.
+	// append evicts rarely carries a buffer of its own to reuse. No
+	// backing is dropped: the log owns as many as the most per-node
+	// events the ring has held at once (at most its capacity), and an
+	// append allocates only when it sets a new such peak.
 	spare [][]NodeBudget
 }
 
-// maxSparePerNode bounds the recycled-buffer stack; beyond it evicted
-// backings are simply dropped for the GC.
-const maxSparePerNode = 64
+// minPerNodeCap is the smallest backing a fresh PerNode buffer gets,
+// so any recycled buffer fits the event of a cluster of up to that
+// many nodes: whether an append allocates then does not hang on which
+// event's buffer was evicted last — with concurrent appenders (the
+// parallel federation's shards) an accident of goroutine timing.
+const minPerNodeCap = 8
 
 // copyPerNode copies src into a recycled (or fresh) log-owned buffer;
 // callers must hold l.mu.
@@ -118,6 +124,9 @@ func (l *EventLog) copyPerNode(src []NodeBudget) []NodeBudget {
 		dst = l.spare[n-1]
 		l.spare[n-1] = nil
 		l.spare = l.spare[:n-1]
+	}
+	if cap(dst) < len(src) {
+		dst = make([]NodeBudget, 0, max(len(src), minPerNodeCap))
 	}
 	return append(dst, src...)
 }
@@ -158,7 +167,7 @@ func (l *EventLog) Append(e Event) {
 		l.buf = append(l.buf, e)
 		return
 	}
-	if evicted := l.buf[l.start].PerNode; evicted != nil && len(l.spare) < maxSparePerNode {
+	if evicted := l.buf[l.start].PerNode; evicted != nil {
 		l.spare = append(l.spare, evicted[:0])
 	}
 	l.buf[l.start] = e

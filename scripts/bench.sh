@@ -14,9 +14,10 @@ trap 'rm -rf "$TMP"' EXIT
 BENCHES='BenchmarkCLIPSchedule$|BenchmarkSimRun$|BenchmarkOptimalSearch$'
 # Scale-stress benchmarks (64-node search, 1k-job runtime trace plain
 # and with the priority/preemption pipeline live, 16k-job batched
-# admission into a saturated online cluster) are heavier per
+# admission into a saturated online cluster, an 8192-job replay of the
+# 64-shard partitioned federation executor) are heavier per
 # iteration, so they run fewer times.
-BENCHES_LARGE='BenchmarkOptimalSearchLarge$|BenchmarkJobschedThroughput$|BenchmarkJobschedPriorityThroughput$|BenchmarkOnlineDeepQueueSubmit$'
+BENCHES_LARGE='BenchmarkOptimalSearchLarge$|BenchmarkJobschedThroughput$|BenchmarkJobschedPriorityThroughput$|BenchmarkOnlineDeepQueueSubmit$|BenchmarkFedPartitioned$'
 
 echo "== micro-benchmarks ==" >&2
 go test -run '^$' -bench "$BENCHES" -benchmem -benchtime=50x . | tee "$TMP/bench.txt" >&2

@@ -30,7 +30,7 @@ trap 'rm -rf "$TMP"' EXIT
 # iteration count, so only an identical -benchtime reproduces the
 # baseline's accounting.
 BENCHES='BenchmarkCLIPSchedule$|BenchmarkSimRun$|BenchmarkOptimalSearch$'
-BENCHES_LARGE='BenchmarkOptimalSearchLarge$|BenchmarkJobschedThroughput$|BenchmarkJobschedPriorityThroughput$|BenchmarkOnlineDeepQueueSubmit$'
+BENCHES_LARGE='BenchmarkOptimalSearchLarge$|BenchmarkJobschedThroughput$|BenchmarkJobschedPriorityThroughput$|BenchmarkOnlineDeepQueueSubmit$|BenchmarkFedPartitioned$'
 go test -run '^$' -bench "$BENCHES" -benchmem -benchtime=50x -count=3 . > "$TMP/bench.txt"
 go test -run '^$' -bench "$BENCHES_LARGE" -benchmem -benchtime=5x -count=3 . >> "$TMP/bench.txt"
 

@@ -50,4 +50,28 @@ cmp -s "$TMP/run1.out" "$TMP/run4.out" || {
     exit 1
 }
 
-echo "fed smoke: ok (16 shards, lending active, deterministic, parallel-identical, zero jobs lost)"
+# With lending off, locality routing takes the partitioned executor
+# (one window per shard). Two worker counts must agree byte for byte;
+# only the two wall-clock lines on stderr may differ.
+PART_FLAGS="$FLAGS -lend=false"
+for W in 2 1; do
+    "$TMP/clipfed" $PART_FLAGS -workers "$W" > "$TMP/part$W.out" 2> "$TMP/part$W.err" || {
+        echo "fed smoke: partitioned run (-workers $W) exited non-zero" >&2
+        cat "$TMP/part$W.out" "$TMP/part$W.err" >&2
+        exit 1
+    }
+    cat "$TMP/part$W.out" "$TMP/part$W.err" \
+        | grep -v -e '^clipfed: .* wall (' -e '^clipfed shards=' > "$TMP/part$W.txt"
+done
+grep -q "zero jobs lost" "$TMP/part2.txt" || {
+    echo "fed smoke: partitioned run lost jobs" >&2
+    cat "$TMP/part2.txt" >&2
+    exit 1
+}
+cmp -s "$TMP/part2.txt" "$TMP/part1.txt" || {
+    echo "fed smoke: partitioned run (-workers 2) diverged from -workers 1" >&2
+    diff "$TMP/part1.txt" "$TMP/part2.txt" >&2 || true
+    exit 1
+}
+
+echo "fed smoke: ok (16 shards, lending active, deterministic, parallel-identical, partitioned-identical, zero jobs lost)"
